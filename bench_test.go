@@ -31,6 +31,7 @@ import (
 	"repro/internal/schemes"
 	"repro/internal/sensing"
 	"repro/internal/telemetry"
+	"repro/internal/telemetry/trace"
 )
 
 // benchSuite is shared across benchmarks so training and surveys run
@@ -269,7 +270,7 @@ func BenchmarkOffloadEncode(b *testing.B) {
 		}
 		offload.EncodeVector(snap.WiFi)
 		offload.EncodeVector(snap.Cell)
-		offload.EncodeContext(snap)
+		offload.EncodeContext(snap, 0, trace.SpanContext{})
 	}
 }
 

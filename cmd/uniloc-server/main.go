@@ -6,12 +6,14 @@
 // connection gets its own framework instance, so any number of phones
 // can walk concurrently without sharing localization state.
 //
-// With -shared-map (the default), the WiFi and cellular fingerprint
-// databases live in versioned mapstore.Stores: every session reads the
-// same indexed snapshot instead of scanning a private copy, and — with
-// -ingest — clients may contribute crowdsourced survey points
-// (MsgSurvey, protocol v3) that a background compactor folds into new
-// snapshot versions without pausing readers.
+// The WiFi and cellular fingerprint databases live in versioned
+// mapstore.Stores: every session reads the same indexed snapshot, with
+// version-keyed likelihood rows and HMM neighbor lists computed once
+// and shared across sessions, and — with -ingest — clients may
+// contribute crowdsourced survey points (MsgSurvey) that a background
+// compactor folds into new snapshot versions without pausing readers.
+// The server speaks offload protocol v5 and v4; a phone announcing an
+// older version is refused at the handshake.
 //
 // With -metrics-addr set, a second HTTP listener exposes the
 // telemetry registry (RED metrics: sessions, epochs, frame bytes,
@@ -84,14 +86,12 @@ func main() {
 	idleTimeout := flag.Duration("idle-timeout", 2*time.Minute, "evict sessions idle this long (0 = never)")
 	epochTimeout := flag.Duration("epoch-timeout", 30*time.Second, "per-epoch protocol deadline; a session that stalls mid-exchange longer than this is evicted (0 = never)")
 	statsEvery := flag.Duration("stats-every", 30*time.Second, "log session stats this often (0 = never)")
-	sharedMap := flag.Bool("shared-map", true, "serve all sessions from shared indexed map stores instead of per-session database scans")
-	ingest := flag.Bool("ingest", false, "accept crowdsourced survey submissions (MsgSurvey) into the shared map stores (requires -shared-map)")
+	ingest := flag.Bool("ingest", false, "accept crowdsourced survey submissions (MsgSurvey) into the shared map stores")
 	rebuildBatch := flag.Int("rebuild-batch", 256, "pending survey points that trigger a background snapshot rebuild")
 	rebuildEvery := flag.Duration("rebuild-every", 30*time.Second, "also rebuild snapshots on this timer so trickles land (0 = batch-only)")
 	stepWorkers := flag.Int("step-workers", 0, "per-session scheme-execution workers (core.WithParallel); <= 1 runs schemes sequentially, results are bit-identical either way")
-	batchTick := flag.Duration("batch-tick", 0, "batch-per-tick scheduler: collect ready epochs from all sessions for this long and step them as one fused batch (0 = per-connection stepping; requires -shared-map for the fused distance pass)")
+	batchTick := flag.Duration("batch-tick", 0, "batch-per-tick scheduler: collect ready epochs from all sessions for this long and step them as one fused batch (0 = per-connection stepping)")
 	batchWorkers := flag.Int("batch-workers", 0, "sessions stepped concurrently per batch (<= 0 = NumCPU)")
-	sharedCompute := flag.Bool("shared-compute", true, "share version-keyed likelihood rows and HMM neighbor lists across sessions (requires -shared-map; results stay bit-identical to private compute)")
 	traceOn := flag.Bool("trace", false, "span-trace every served epoch; browse at /debug/traces on -metrics-addr")
 	traceRing := flag.Int("trace-ring", 4096, "spans kept in the in-memory trace ring (rounded up to a power of two)")
 	traceJSONL := flag.String("trace-jsonl", "", "also append every span as JSON lines to this file (implies -trace)")
@@ -99,29 +99,27 @@ func main() {
 	traceWindow := flag.Duration("trace-window", time.Minute, "exemplar rotation window")
 	pprofLabels := flag.Bool("pprof-labels", false, "label CPU profile samples with session, scheme and batch tick (small per-epoch allocation cost)")
 	drainGrace := flag.Duration("drain-grace", 0, "on SIGTERM/SIGINT, stop accepting and let in-flight sessions finish their current epoch for up to this long before force-closing (0 = close immediately)")
-	replListen := flag.String("replicate-listen", "", "lead a replication group: stream map-store compaction deltas to followers subscribing on this address (requires -shared-map)")
-	replFrom := flag.String("replicate-from", "", "follow a replication leader: comma-separated candidate addresses, tried in order on every (re)connect (requires -shared-map; local compaction is disabled, surveys are forwarded upstream)")
+	replListen := flag.String("replicate-listen", "", "lead a replication group: stream map-store compaction deltas to followers subscribing on this address")
+	replFrom := flag.String("replicate-from", "", "follow a replication leader: comma-separated candidate addresses, tried in order on every (re)connect (local compaction is disabled, surveys are forwarded upstream)")
 	standby := flag.Bool("standby", false, "with -replicate-from: retain the leader's delta history, buffer surveys across a leader outage, and promote to replication leader on SIGUSR1, serving followers on -replicate-listen")
 	handoffListen := flag.String("handoff-listen", "", "join the session-handoff mesh: serve shipped session states and peer fetches on this address")
 	handoffPeers := flag.String("handoff-peers", "", "comma-separated handoff addresses of the other cluster nodes: ship every session's post-epoch state to them, fetch unknown resumed sessions from them")
 	flag.Parse()
 
 	cfg := serverOpts{
-		addr:          *addr,
-		metricsAddr:   *metricsAddr,
-		seed:          *seed,
-		maxSessions:   *maxSessions,
-		idleTimeout:   *idleTimeout,
-		epochTimeout:  *epochTimeout,
-		statsEvery:    *statsEvery,
-		sharedMap:     *sharedMap,
-		ingest:        *ingest,
-		rebuildBatch:  *rebuildBatch,
-		rebuildEvery:  *rebuildEvery,
-		stepWorkers:   *stepWorkers,
-		batchTick:     *batchTick,
-		batchWorkers:  *batchWorkers,
-		sharedCompute: *sharedCompute,
+		addr:         *addr,
+		metricsAddr:  *metricsAddr,
+		seed:         *seed,
+		maxSessions:  *maxSessions,
+		idleTimeout:  *idleTimeout,
+		epochTimeout: *epochTimeout,
+		statsEvery:   *statsEvery,
+		ingest:       *ingest,
+		rebuildBatch: *rebuildBatch,
+		rebuildEvery: *rebuildEvery,
+		stepWorkers:  *stepWorkers,
+		batchTick:    *batchTick,
+		batchWorkers: *batchWorkers,
 
 		trace:          *traceOn || *traceJSONL != "",
 		traceRing:      *traceRing,
@@ -150,14 +148,12 @@ type serverOpts struct {
 	idleTimeout       time.Duration
 	epochTimeout      time.Duration
 	statsEvery        time.Duration
-	sharedMap         bool
 	ingest            bool
 	rebuildBatch      int
 	rebuildEvery      time.Duration
 	stepWorkers       int
 	batchTick         time.Duration
 	batchWorkers      int
-	sharedCompute     bool
 
 	trace          bool
 	traceRing      int
@@ -180,9 +176,6 @@ func run(opts serverOpts) error {
 	}
 	if opts.standby && (opts.replFrom == "" || opts.replListen == "") {
 		return fmt.Errorf("-standby requires -replicate-from (whom to follow) and -replicate-listen (where to serve after promotion)")
-	}
-	if (opts.replListen != "" || opts.replFrom != "") && !opts.sharedMap {
-		return fmt.Errorf("replication requires -shared-map")
 	}
 	tr, err := eval.Train(opts.seed)
 	if err != nil {
@@ -219,115 +212,102 @@ func run(opts serverOpts) error {
 		tracer = trace.New(cfg)
 	}
 
-	// One fresh framework per session: the shared campus assets
-	// (fingerprint databases, constellation) are read-only, while the
-	// scheme instances and their particle-filter randomness are
-	// private to the session. With -shared-map the radio maps further
-	// collapse into two versioned stores every session reads through
+	// One fresh framework per session: the scheme instances and their
+	// particle-filter randomness are private to the session, while the
+	// radio maps are two versioned stores every session reads through
 	// atomic snapshots.
+	storeCfg := func(name string) mapstore.Config {
+		cfg := mapstore.Config{
+			Name:         name,
+			RebuildBatch: opts.rebuildBatch,
+			RebuildEvery: opts.rebuildEvery,
+			Metrics:      mapstore.NewMetrics(reg, name),
+		}
+		if opts.replFrom != "" {
+			// A follower never compacts locally: its only writes are
+			// replayed leader deltas (cluster.Follower), so its versions
+			// can never fork from the leader's. A standby keeps a real
+			// batch size — dormant while following (followers never
+			// Submit locally), live the moment promotion makes its
+			// Submits the compaction stream — but still no timer, which
+			// could fire before promotion.
+			cfg.RebuildEvery = 0
+			if !opts.standby {
+				cfg.RebuildBatch = 1 << 30
+			}
+		}
+		return cfg
+	}
+	wifiStore := mapstore.New(campus.WiFiDB, storeCfg("wifi"))
+	cellStore := mapstore.New(campus.CellDB, storeCfg("cellular"))
+	defer wifiStore.Close()
+	defer cellStore.Close()
+	mapStores := map[byte]*mapstore.Store{
+		offload.MapWiFi:     wifiStore,
+		offload.MapCellular: cellStore,
+	}
 	var sessionSeq atomic.Int64
-	var stores, batchStores map[byte]*mapstore.Store
 	factory := func() (*core.Framework, error) {
 		n := sessionSeq.Add(1)
 		rnd := rand.New(rand.NewSource(opts.seed + 7 + n))
-		ss := campus.Schemes(rnd)
+		ss := campus.SchemesOver(wifiStore, cellStore, rnd)
 		return core.NewFramework(ss, tr.Models)
 	}
 	var surveyIngest func(*offload.Survey) error
-	if opts.sharedMap {
-		storeCfg := func(name string) mapstore.Config {
-			cfg := mapstore.Config{
-				Name:         name,
-				RebuildBatch: opts.rebuildBatch,
-				RebuildEvery: opts.rebuildEvery,
-				Metrics:      mapstore.NewMetrics(reg, name),
-			}
-			if opts.replFrom != "" {
-				// A follower never compacts locally: its only writes are
-				// replayed leader deltas (cluster.Follower), so its versions
-				// can never fork from the leader's. A standby keeps a real
-				// batch size — dormant while following (followers never
-				// Submit locally), live the moment promotion makes its
-				// Submits the compaction stream — but still no timer, which
-				// could fire before promotion.
-				cfg.RebuildEvery = 0
-				if !opts.standby {
-					cfg.RebuildBatch = 1 << 30
+	switch {
+	case opts.replFrom != "":
+		addrs := strings.Split(opts.replFrom, ",")
+		follower := cluster.NewFollowerAddrs(addrs, mapStores, reg)
+		defer follower.Close()
+		// Survey ingest goes through an indirection so promotion can
+		// swap forward-to-leader for serve-as-leader atomically, with
+		// sessions mid-flight.
+		var ingest atomic.Value
+		ingest.Store(follower.ForwardSurvey)
+		surveyIngest = func(sv *offload.Survey) error {
+			return ingest.Load().(func(*offload.Survey) error)(sv)
+		}
+		log.Printf("replicating from %s (surveys forwarded upstream, standby=%v)", opts.replFrom, opts.standby)
+		if opts.standby {
+			var promoted atomic.Pointer[cluster.Leader]
+			defer func() {
+				if l := promoted.Load(); l != nil {
+					l.Close()
 				}
-			}
-			return cfg
+			}()
+			promoteSig := make(chan os.Signal, 1)
+			signal.Notify(promoteSig, syscall.SIGUSR1)
+			go func() {
+				<-promoteSig
+				signal.Stop(promoteSig)
+				rln, err := net.Listen("tcp", opts.replListen)
+				if err != nil {
+					log.Printf("promotion: replication listener: %v", err)
+					return
+				}
+				l := cluster.Promote(follower, reg)
+				promoted.Store(l)
+				ingest.Store(l.SurveyIngest)
+				go l.ListenAndServe(rln, func(err error) { log.Printf("replication: %v", err) })
+				log.Printf("promoted to replication leader on %s (retained deltas seeded, buffered surveys drained)", rln.Addr())
+			}()
 		}
-		wifiStore := mapstore.New(campus.WiFiDB, storeCfg("wifi"))
-		cellStore := mapstore.New(campus.CellDB, storeCfg("cellular"))
-		defer wifiStore.Close()
-		defer cellStore.Close()
-		replStores := map[byte]*mapstore.Store{
-			offload.MapWiFi:     wifiStore,
-			offload.MapCellular: cellStore,
+	case opts.replListen != "":
+		leader := cluster.NewLeader(mapStores, reg)
+		defer leader.Close()
+		rln, err := net.Listen("tcp", opts.replListen)
+		if err != nil {
+			return fmt.Errorf("replication listener: %w", err)
 		}
-		switch {
-		case opts.replFrom != "":
-			addrs := strings.Split(opts.replFrom, ",")
-			follower := cluster.NewFollowerAddrs(addrs, replStores, reg)
-			defer follower.Close()
-			// Survey ingest goes through an indirection so promotion can
-			// swap forward-to-leader for serve-as-leader atomically, with
-			// sessions mid-flight.
-			var ingest atomic.Value
-			ingest.Store(follower.ForwardSurvey)
-			surveyIngest = func(sv *offload.Survey) error {
-				return ingest.Load().(func(*offload.Survey) error)(sv)
-			}
-			log.Printf("replicating from %s (surveys forwarded upstream, standby=%v)", opts.replFrom, opts.standby)
-			if opts.standby {
-				var promoted atomic.Pointer[cluster.Leader]
-				defer func() {
-					if l := promoted.Load(); l != nil {
-						l.Close()
-					}
-				}()
-				promoteSig := make(chan os.Signal, 1)
-				signal.Notify(promoteSig, syscall.SIGUSR1)
-				go func() {
-					<-promoteSig
-					signal.Stop(promoteSig)
-					rln, err := net.Listen("tcp", opts.replListen)
-					if err != nil {
-						log.Printf("promotion: replication listener: %v", err)
-						return
-					}
-					l := cluster.Promote(follower, reg)
-					promoted.Store(l)
-					ingest.Store(l.SurveyIngest)
-					go l.ListenAndServe(rln, func(err error) { log.Printf("replication: %v", err) })
-					log.Printf("promoted to replication leader on %s (retained deltas seeded, buffered surveys drained)", rln.Addr())
-				}()
-			}
-		case opts.replListen != "":
-			leader := cluster.NewLeader(replStores, reg)
-			defer leader.Close()
-			rln, err := net.Listen("tcp", opts.replListen)
-			if err != nil {
-				return fmt.Errorf("replication listener: %w", err)
-			}
-			defer rln.Close()
-			go leader.ListenAndServe(rln, func(err error) { log.Printf("replication: %v", err) })
-			log.Printf("replication leader on %s", rln.Addr())
-		}
-		factory = func() (*core.Framework, error) {
-			n := sessionSeq.Add(1)
-			rnd := rand.New(rand.NewSource(opts.seed + 7 + n))
-			ss := campus.SchemesOver(wifiStore, cellStore, rnd)
-			return core.NewFramework(ss, tr.Models)
-		}
-		// The batch scheduler's fused distance pass always reads the
-		// shared stores; survey ingestion stays gated on -ingest.
-		batchStores = replStores
-		if opts.ingest {
-			stores = batchStores
-		}
-	} else if opts.ingest {
-		return fmt.Errorf("-ingest requires -shared-map")
+		defer rln.Close()
+		go leader.ListenAndServe(rln, func(err error) { log.Printf("replication: %v", err) })
+		log.Printf("replication leader on %s", rln.Addr())
+	}
+	// The batch scheduler's fused distance pass always reads the stores;
+	// survey ingestion stays gated on -ingest.
+	var ingestStores map[byte]*mapstore.Store
+	if opts.ingest {
+		ingestStores = mapStores
 	}
 
 	// Session-handoff mesh: ship every session's post-epoch state to the
@@ -360,12 +340,12 @@ func run(opts serverOpts) error {
 		IdleTimeout:   opts.idleTimeout,
 		EpochTimeout:  opts.epochTimeout,
 		Metrics:       reg,
-		MapStores:     stores,
+		MapStores:     ingestStores,
 		StepWorkers:   opts.stepWorkers,
 		BatchTick:     opts.batchTick,
 		BatchWorkers:  opts.batchWorkers,
-		BatchStores:   batchStores,
-		SharedCompute: opts.sharedCompute && opts.sharedMap,
+		BatchStores:   mapStores,
+		SharedCompute: true,
 		Tracer:        tracer,
 		PprofLabels:   opts.pprofLabels,
 		SurveyIngest:  surveyIngest,
@@ -381,8 +361,8 @@ func run(opts serverOpts) error {
 	if err != nil {
 		return err
 	}
-	log.Printf("uniloc-server listening on %s (campus, max-sessions=%d, idle-timeout=%v, epoch-timeout=%v, shared-map=%v, ingest=%v, step-workers=%d, batch-tick=%v, shared-compute=%v, trace=%v, pprof-labels=%v)",
-		ln.Addr(), opts.maxSessions, opts.idleTimeout, opts.epochTimeout, opts.sharedMap, opts.ingest, opts.stepWorkers, opts.batchTick, opts.sharedCompute && opts.sharedMap, opts.trace, opts.pprofLabels)
+	log.Printf("uniloc-server listening on %s (campus, max-sessions=%d, idle-timeout=%v, epoch-timeout=%v, ingest=%v, step-workers=%d, batch-tick=%v, trace=%v, pprof-labels=%v)",
+		ln.Addr(), opts.maxSessions, opts.idleTimeout, opts.epochTimeout, opts.ingest, opts.stepWorkers, opts.batchTick, opts.trace, opts.pprofLabels)
 
 	// Optional exposition endpoint: Prometheus + JSON metrics, expvar,
 	// pprof.
@@ -421,7 +401,7 @@ func run(opts serverOpts) error {
 			case <-statsDone:
 				return
 			case <-tick.C:
-				logStats(reg, opts.sharedMap)
+				logStats(reg)
 			}
 		}
 	}()
@@ -451,7 +431,7 @@ func run(opts serverOpts) error {
 
 	close(statsDone)
 	<-statsStopped
-	logStats(reg, opts.sharedMap) // final snapshot so short runs still report
+	logStats(reg) // final snapshot so short runs still report
 
 	if metricsSrv != nil {
 		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
@@ -463,7 +443,7 @@ func run(opts serverOpts) error {
 
 // logStats renders the session/epoch counters from one telemetry
 // snapshot — the same numbers a /metrics scrape would see.
-func logStats(reg *telemetry.Registry, sharedMap bool) {
+func logStats(reg *telemetry.Registry) {
 	snap := reg.Snapshot()
 	get := func(name string, labels ...string) float64 {
 		v, _ := snap.Get(name, labels...)
@@ -482,16 +462,14 @@ func logStats(reg *telemetry.Registry, sharedMap bool) {
 	log.Printf("health: panics=%.0f quarantined=%.0f fallbacks=%.0f deadline-timeouts=%.0f",
 		get("scheme_panics_total"), get("quarantined_estimates_total"),
 		get("fallback_epochs_total"), get("deadline_timeouts_total"))
-	if sharedMap {
-		for _, m := range []string{"wifi", "cellular"} {
-			log.Printf("mapstore[%s]: version=%.0f points=%.0f pending=%.0f rebuilds=%.0f ingested=%.0f dropped=%.0f",
-				m,
-				get("uniloc_mapstore_snapshot_version", "map", m),
-				get("uniloc_mapstore_snapshot_points", "map", m),
-				get("uniloc_mapstore_pending_points", "map", m),
-				get("uniloc_mapstore_rebuilds_total", "map", m),
-				get("uniloc_surveys_ingested_total"),
-				get("uniloc_surveys_dropped_total"))
-		}
+	for _, m := range []string{"wifi", "cellular"} {
+		log.Printf("mapstore[%s]: version=%.0f points=%.0f pending=%.0f rebuilds=%.0f ingested=%.0f dropped=%.0f",
+			m,
+			get("uniloc_mapstore_snapshot_version", "map", m),
+			get("uniloc_mapstore_snapshot_points", "map", m),
+			get("uniloc_mapstore_pending_points", "map", m),
+			get("uniloc_mapstore_rebuilds_total", "map", m),
+			get("uniloc_surveys_ingested_total"),
+			get("uniloc_surveys_dropped_total"))
 	}
 }

@@ -3,7 +3,7 @@
 // crowdsourced survey submissions. Two "phones" walk the campus
 // concurrently, localizing against the same store snapshot; a third
 // client plays the crowdsourcing fleet, streaming survey points
-// (MsgSurvey, protocol v3) that the store's background compactor folds
+// (MsgSurvey) that the store's background compactor folds
 // into new snapshot versions — without pausing either walker, and with
 // results bit-identical to a linear scan of the same map at every
 // version.

@@ -329,6 +329,11 @@ func TestClusterNodeKillMidWalk(t *testing.T) {
 	errs := make([]error, walkers)
 	moved := make([]bool, walkers) // walker's home was the victim
 	var killOnce sync.Once
+	// The kill lands mid-walk only once every walker has handshaken: a
+	// hello carries no reconnect, so a walker still dialing when the
+	// victim dies would fail for a reason this test does not cover.
+	var helloed sync.WaitGroup
+	helloed.Add(walkers)
 	for i := range walks {
 		home, _ := router.Ring().Pick(walks[i].id)
 		moved[i] = home == victimAddr
@@ -339,6 +344,7 @@ func TestClusterNodeKillMidWalk(t *testing.T) {
 			conn, err := dial()
 			if err != nil {
 				errs[i] = err
+				helloed.Done()
 				return
 			}
 			client := offload.NewClient(conn, walks[i].id)
@@ -347,10 +353,13 @@ func TestClusterNodeKillMidWalk(t *testing.T) {
 				Min: 5 * time.Millisecond, Max: 200 * time.Millisecond, Attempts: 30, Seed: int64(i),
 			})
 			defer func() { _ = client.Close() }()
-			if err := client.Hello(walks[i].start); err != nil {
+			err = client.Hello(walks[i].start)
+			helloed.Done()
+			if err != nil {
 				errs[i] = err
 				return
 			}
+			helloed.Wait()
 			var got []*offload.Result
 			for j, snap := range walks[i].snaps {
 				if j == killAt {

@@ -80,7 +80,7 @@ func (m routerMetrics) backendUp(addr string, up bool) {
 // Router terminates nothing: it reads exactly one frame — the hello —
 // to learn the client ID, consistent-hashes it onto a backend,
 // forwards the hello verbatim, and then splices bytes both ways. The
-// offload protocol (v2–v5, trace context included) crosses it
+// offload protocol (any version, trace context included) crosses it
 // untouched, so router and backends upgrade independently. A dead
 // backend is marked down on dial failure (and by the active prober),
 // and the very next reconnect of its clients lands on a surviving

@@ -80,7 +80,10 @@ func (f *Framework) Snapshot() ([]byte, error) {
 func (f *Framework) Restore(b []byte) error {
 	r := statecodec.NewReader(b)
 	if v := r.U8(); r.Err() != nil || v != snapshotVersion {
-		return fmt.Errorf("core: unsupported framework snapshot version %d", b[0])
+		if r.Err() != nil {
+			return fmt.Errorf("core: empty framework snapshot: %w", r.Err())
+		}
+		return fmt.Errorf("core: unsupported framework snapshot version %d", v)
 	}
 	lastEnv := EnvClass(r.U8())
 	lastGood := geo.Pt(r.F64(), r.F64())
@@ -90,7 +93,7 @@ func (f *Framework) Restore(b []byte) error {
 	iodVotes := r.U32()
 	iodBaseline := r.F64()
 	iodHave := r.Bool()
-	nPred := int(r.U32())
+	nPred := r.Count(4 + 8) // name length prefix + prediction
 	if r.Err() != nil {
 		return fmt.Errorf("core: truncated framework snapshot: %w", r.Err())
 	}

@@ -204,4 +204,13 @@ func TestRestoreRejectsMismatchedSchemes(t *testing.T) {
 	if err := other.Restore(blob); err == nil {
 		t.Fatal("restore of mismatched scheme list must fail")
 	}
+	// Empty blobs and hostile counts are refused, not indexed or
+	// allocated for.
+	huge := append([]byte{}, blob[:1+1+8+8+1+1+1+4+8+1]...)
+	huge = append(huge, 0xF0, 0xFF, 0xFF, 0xFF)
+	for _, b := range [][]byte{nil, {}, huge} {
+		if err := fw.Restore(b); err == nil {
+			t.Errorf("restore of %d-byte blob must fail", len(b))
+		}
+	}
 }

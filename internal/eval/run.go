@@ -12,6 +12,7 @@ import (
 	"repro/internal/scenario"
 	"repro/internal/schemes"
 	"repro/internal/sensing"
+	"repro/internal/telemetry/trace"
 	"repro/internal/walker"
 )
 
@@ -276,8 +277,8 @@ func epochBytes(snap *sensing.Snapshot, gpsOn bool) (up, down int) {
 	if snap.Landmark != nil {
 		up += frame + len(offload.EncodeLandmark(snap.Landmark))
 	}
-	up += frame + len(offload.EncodeContext(snap)) // context header
-	up += frame                                    // epoch end
+	up += frame + len(offload.EncodeContext(snap, 0, trace.SpanContext{})) // context header
+	up += frame                                                            // epoch end
 	down = frame + len(offload.EncodeResult(&offload.Result{Selected: schemes.NameFusion}))
 	return up, down
 }

@@ -10,6 +10,7 @@ import (
 	"repro/internal/offload"
 	"repro/internal/schemes"
 	"repro/internal/telemetry"
+	"repro/internal/telemetry/trace"
 	"repro/internal/walker"
 )
 
@@ -78,7 +79,7 @@ func (s *Suite) TableV() (*Report, error) {
 		if snap.GNSS.Reliable() {
 			upBytes += 3 + len(offload.EncodeFix(snap.GNSS))
 		}
-		upBytes += 3 + len(offload.EncodeContext(snap)) + 3
+		upBytes += 3 + len(offload.EncodeContext(snap, 0, trace.SpanContext{})) + 3
 		downBytes += 3 + len(offload.EncodeResult(&offload.Result{Selected: schemes.NameFusion}))
 	}
 	if epochs == 0 {

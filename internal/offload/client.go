@@ -107,20 +107,14 @@ func NewClient(conn net.Conn, clientID ...string) *Client {
 }
 
 // SetMaxProtocol caps the version this client offers in its hello, for
-// tests and staged rollouts: a client capped at v3 behaves exactly
-// like a real v3 build — no sequence numbers resumed, no trace bytes,
-// surveys allowed. Call before Hello; versions below the v2 handshake
-// floor or above ProtocolVersion are clamped.
+// tests and staged rollouts: a client capped at v4 behaves exactly
+// like a real v4 build and sends no trace bytes. Call before Hello;
+// versions above ProtocolVersion are clamped, and a server refuses a
+// hello below v4.
 func (c *Client) SetMaxProtocol(v byte) {
-	if v < ProtocolV2 {
-		v = ProtocolV2
-	}
-	if v > ProtocolVersion {
-		v = ProtocolVersion
-	}
-	c.maxProto = v
+	c.maxProto = min(v, ProtocolVersion)
 	if !c.helloed {
-		c.proto = v
+		c.proto = c.maxProto
 	}
 }
 
@@ -244,7 +238,11 @@ func (c *Client) Hello(start geo.Point) error {
 	}
 	// The welcome carries the server's negotiated version; min with our
 	// own guards against a server echoing a version we never offered.
-	c.proto = Negotiate(c.maxProto, w.Version)
+	proto, err := Negotiate(c.maxProto, w.Version)
+	if err != nil {
+		return fmt.Errorf("%w: %v", ErrProtocol, err)
+	}
+	c.proto = proto
 	c.sessionID = w.SessionID
 	c.helloed = true
 	if w.Resumed {
@@ -392,14 +390,14 @@ func (c *Client) localizeOnce(snap *sensing.Snapshot) (*Result, error) {
 			return nil, err
 		}
 	}
-	ctxPayload := EncodeContextSeq(snap, c.seq)
-	if c.curSpan.Valid() && Features(c.proto).Trace {
-		// v5 negotiated: ship the epoch span's context so server-side
-		// spans join this trace. Pre-v5 sessions get the plain header —
-		// the feature gate, not the tracer, decides the wire bytes.
-		ctxPayload = EncodeContextTrace(snap, c.seq, c.curSpan)
+	// A v5 session ships the epoch span's context so server-side spans
+	// join this trace; a v4 session gets the plain header — the
+	// negotiated version, not the tracer, decides the wire bytes.
+	tctx := c.curSpan
+	if c.proto < ProtocolV5 {
+		tctx = trace.SpanContext{}
 	}
-	if err := write(MsgContext, ctxPayload); err != nil {
+	if err := write(MsgContext, EncodeContext(snap, c.seq, tctx)); err != nil {
 		return nil, err
 	}
 	if err := write(MsgEpochEnd, nil); err != nil {
@@ -426,21 +424,16 @@ func (c *Client) localizeOnce(snap *sensing.Snapshot) (*Result, error) {
 }
 
 // SubmitSurvey contributes one crowdsourced survey point (a full RSSI
-// scan at a known position) to the server's shared radio map
-// (protocol v3). The frame is fire-and-forget: the server folds the
-// point into its map store at the next compaction and sends no
-// acknowledgment, so a submission costs one upload and no round trip.
-// mapID is MapWiFi or MapCellular.
+// scan at a known position) to the server's shared radio map. The
+// frame is fire-and-forget: the server folds the point into its map
+// store at the next compaction and sends no acknowledgment, so a
+// submission costs one upload and no round trip. mapID is MapWiFi or
+// MapCellular.
 func (c *Client) SubmitSurvey(mapID byte, pos geo.Point, vec rf.Vector) error {
 	if !c.helloed {
 		if err := c.Hello(c.resumePoint()); err != nil {
 			return err
 		}
-	}
-	if !Features(c.proto).Surveys {
-		// A v2 session has no MsgSurvey; sending one anyway would kill
-		// the epoch stream server-side with a protocol error.
-		return fmt.Errorf("%w: surveys need protocol v%d, session is v%d", ErrProtocol, ProtocolV3, c.proto)
 	}
 	s := &Survey{Map: mapID, X: pos.X, Y: pos.Y, Vec: vec}
 	c.armWrite()

@@ -109,7 +109,14 @@ func TestDrainIdleForceClose(t *testing.T) {
 	if forced := ls.srv.Drain(50 * time.Millisecond); forced != 1 {
 		t.Fatalf("drain force-closed %d connections, want 1", forced)
 	}
-	if st := ls.srv.Stats(); st.Drained != 1 || st.Active != 0 {
+	// The force-close is counted at once; the session leaves the live
+	// set when its serving goroutine notices the closed connection.
+	st := ls.srv.Stats()
+	for deadline := time.Now().Add(2 * time.Second); st.Active != 0 && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+		st = ls.srv.Stats()
+	}
+	if st.Drained != 1 || st.Active != 0 {
 		t.Fatalf("after forced drain: drained=%d active=%d, want 1 and 0", st.Drained, st.Active)
 	}
 	// The client observes a dead connection, not a served result.

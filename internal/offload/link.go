@@ -36,9 +36,8 @@ func (l LinkModel) RoundTrip(up, down int) time.Duration {
 	return l.TransferTime(up) + l.TransferTime(down)
 }
 
-// HandshakeTime returns the modeled one-off cost of the protocol-v2
-// session handshake (hello up, welcome down) for a client with the
-// given ID. It is paid once per walk, not per epoch.
+// HandshakeTime returns the modeled one-off cost of the session
+// handshake (hello up, welcome down) for a client with the given ID. It is paid once per walk, not per epoch.
 func HandshakeTime(l LinkModel, clientID string) time.Duration {
 	const frame = 3 // [type][uint16 length]
 	up := frame + len(EncodeHello(&Hello{Version: ProtocolVersion, ClientID: clientID}))

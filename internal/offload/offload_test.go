@@ -12,6 +12,7 @@ import (
 	"repro/internal/imu"
 	"repro/internal/rf"
 	"repro/internal/sensing"
+	"repro/internal/telemetry/trace"
 )
 
 func TestFrameRoundTrip(t *testing.T) {
@@ -130,11 +131,11 @@ func TestFixCodec(t *testing.T) {
 
 func TestContextCodec(t *testing.T) {
 	s := &sensing.Snapshot{Epoch: 1234, LightLux: 10543.5, MagVarUT: 2.25, GPSEnabled: true}
-	back, err := DecodeContext(EncodeContext(s))
+	back, seq, _, err := DecodeContext(EncodeContext(s, 41, trace.SpanContext{}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if back.Epoch != 1234 || !back.GPSEnabled {
+	if back.Epoch != 1234 || !back.GPSEnabled || seq != 41 {
 		t.Error("context meta wrong")
 	}
 	if math.Abs(back.LightLux-s.LightLux) > 1 || math.Abs(back.MagVarUT-s.MagVarUT) > 0.01 {

@@ -39,23 +39,20 @@ const (
 	MsgLandmark                      // detected landmark signature
 	MsgEpochEnd                      // end of one epoch's upload
 	MsgResult                        // server → phone: fused location
-	MsgHello                         // phone → server: session handshake (v2)
-	MsgWelcome                       // server → phone: handshake reply (v2)
-	MsgSurvey                        // phone → server: crowdsourced survey point (v3)
+	MsgHello                         // phone → server: session handshake
+	MsgWelcome                       // server → phone: handshake reply
+	MsgSurvey                        // phone → server: crowdsourced survey point
 )
 
-// Wire protocol versions. Version 2 added the session handshake
-// (MsgHello/MsgWelcome) and the availability flag on Result; version 3
-// added crowdsourced survey submissions (MsgSurvey) feeding the
-// server's shared map store; version 4 added the per-session epoch
+// Wire protocol versions. Version 4 added the per-session epoch
 // sequence number on MsgContext and the Resumed flag on MsgWelcome,
 // making reconnect-replayed epochs idempotent; version 5 added the
 // optional 24-byte span context on MsgContext, propagating the
 // client's trace across the wire so server-side spans join the
-// client's trace tree.
+// client's trace tree. Versions 2 (session handshake) and 3
+// (crowdsourced surveys) are retired: their features are part of
+// every supported version, and a hello below v4 is refused.
 const (
-	ProtocolV2 byte = 2
-	ProtocolV3 byte = 3
 	ProtocolV4 byte = 4
 	ProtocolV5 byte = 5
 
@@ -63,43 +60,16 @@ const (
 	ProtocolVersion = ProtocolV5
 )
 
-// VersionFeatures is the capability set of one protocol version — the
-// single table every version check in the package goes through, so
-// adding a version means adding one entry here instead of sprinkling
-// `v >= 4` comparisons across client, server, and codec.
-type VersionFeatures struct {
-	Surveys bool // MsgSurvey accepted (v3+)
-	Resume  bool // context seq numbers, replay cache, session re-attach (v4+)
-	Trace   bool // span context on MsgContext (v5+)
-}
-
-// Features returns the capability set of a protocol version. Unknown
-// future versions report the newest known feature set (capabilities
-// are cumulative; the handshake negotiates the version down to what
-// both ends speak before features matter).
-func Features(v byte) VersionFeatures {
-	return VersionFeatures{
-		Surveys: v >= ProtocolV3,
-		Resume:  v >= ProtocolV4,
-		Trace:   v >= ProtocolV5,
-	}
-}
-
 // Negotiate picks the protocol version a session runs at: the lower of
-// the server's maximum and the client's hello. A v5 client talking to
-// a v4 server runs the session at v4 (and sends no trace bytes); a v3
-// client talking to a v5 server keeps its exact old semantics. Values
-// below ProtocolV2 are pinned to v2 — there was no pre-handshake
-// version to negotiate with.
-func Negotiate(serverMax, client byte) byte {
-	v := serverMax
-	if client < v {
-		v = client
+// the two ends' versions. A v5 client talking to a v4 server runs the
+// session at v4 (and sends no trace bytes). A session that would run
+// below v4 is refused with an error naming the unsupported version.
+func Negotiate(a, b byte) (byte, error) {
+	v := min(a, b)
+	if v < ProtocolV4 {
+		return 0, fmt.Errorf("unsupported protocol v%d (need v4+)", v)
 	}
-	if v < ProtocolV2 {
-		v = ProtocolV2
-	}
-	return v
+	return v, nil
 }
 
 // Survey map identifiers: which shared radio map a crowdsourced survey
@@ -246,21 +216,20 @@ func DecodeFix(b []byte) (*gnss.Fix, error) {
 	return f, nil
 }
 
-// EncodeContext packs the epoch header with sequence number zero
-// (callers that do not track per-session sequences, e.g. byte-count
-// models; seq 0 never matches the server's replay cache). See
-// EncodeContextSeq for the full v4 layout.
-func EncodeContext(s *sensing.Snapshot) []byte {
-	return EncodeContextSeq(s, 0)
-}
+// contextBytes is the size of the epoch header without a span context.
+const contextBytes = 4 + 4 + 4 + 1 + 4
 
-// EncodeContextSeq packs the v4 epoch header: epoch (uint32), light
-// lux (float32), magnetic variance (float32), gpsEnabled flag, then
-// the per-session epoch sequence number (uint32). The sequence number
-// identifies this epoch across reconnects so a result computed but
-// lost in flight is re-answered, never re-stepped.
-func EncodeContextSeq(s *sensing.Snapshot, seq uint32) []byte {
-	out := make([]byte, 4+4+4+1+4)
+// EncodeContext packs the epoch header: epoch (uint32), light lux
+// (float32), magnetic variance (float32), gpsEnabled flag, then the
+// per-session epoch sequence number (uint32), followed by the 24-byte
+// span context of the client's in-flight epoch span when tctx is
+// valid. The sequence number identifies this epoch across reconnects
+// so a result computed but lost in flight is re-answered, never
+// re-stepped; seq 0 (byte-count models) never matches the server's
+// replay cache. The frame length tells decoders whether a span context
+// follows.
+func EncodeContext(s *sensing.Snapshot, seq uint32, tctx trace.SpanContext) []byte {
+	out := make([]byte, contextBytes)
 	binary.BigEndian.PutUint32(out[0:], uint32(s.Epoch))
 	binary.BigEndian.PutUint32(out[4:], math.Float32bits(float32(s.LightLux)))
 	binary.BigEndian.PutUint32(out[8:], math.Float32bits(float32(s.MagVarUT)))
@@ -268,42 +237,20 @@ func EncodeContextSeq(s *sensing.Snapshot, seq uint32) []byte {
 		out[12] = 1
 	}
 	binary.BigEndian.PutUint32(out[13:], seq)
+	if tctx.Valid() {
+		out = trace.AppendContext(out, tctx)
+	}
 	return out
 }
 
-// EncodeContextTrace packs the v5 epoch header: the v4 layout followed
-// by the 24-byte span context of the client's in-flight epoch span. A
-// zero (invalid) context still occupies its bytes — the frame length
-// is how decoders version the header — but decodes back to zero,
-// meaning "no trace".
-func EncodeContextTrace(s *sensing.Snapshot, seq uint32, tctx trace.SpanContext) []byte {
-	return trace.AppendContext(EncodeContextSeq(s, seq), tctx)
-}
-
-// DecodeContext unpacks the epoch header into a fresh snapshot,
-// discarding the sequence number.
-func DecodeContext(b []byte) (*sensing.Snapshot, error) {
-	s, _, err := DecodeContextSeq(b)
-	return s, err
-}
-
-// DecodeContextSeq unpacks an epoch header of any version, discarding
-// any trace context.
-func DecodeContextSeq(b []byte) (*sensing.Snapshot, uint32, error) {
-	s, seq, _, err := DecodeContextFull(b)
-	return s, seq, err
-}
-
-// DecodeContextFull unpacks a v5 (41-byte), v4 (17-byte) or v3
-// (13-byte) epoch header. v3 frames carry no sequence number and
-// report seq 0, which is never cached; frames without a span context
-// (or with an all-zero one) report the zero SpanContext — pre-v5
-// clients keep their exact old semantics.
-func DecodeContextFull(b []byte) (*sensing.Snapshot, uint32, trace.SpanContext, error) {
+// DecodeContext unpacks a 17-byte epoch header, or a 41-byte one
+// carrying a span context, into a fresh snapshot, its sequence number
+// and the span context (zero without one, or for an all-zero one).
+func DecodeContext(b []byte) (*sensing.Snapshot, uint32, trace.SpanContext, error) {
 	var tctx trace.SpanContext
-	if len(b) != 13 && len(b) != 17 && len(b) != 17+trace.ContextBytes {
-		return nil, 0, tctx, fmt.Errorf("%w: context must be 13, 17 or %d bytes, got %d",
-			ErrProtocol, 17+trace.ContextBytes, len(b))
+	if len(b) != contextBytes && len(b) != contextBytes+trace.ContextBytes {
+		return nil, 0, tctx, fmt.Errorf("%w: context must be %d or %d bytes, got %d",
+			ErrProtocol, contextBytes, contextBytes+trace.ContextBytes, len(b))
 	}
 	s := &sensing.Snapshot{
 		Epoch:    int(binary.BigEndian.Uint32(b[0:])),
@@ -312,12 +259,9 @@ func DecodeContextFull(b []byte) (*sensing.Snapshot, uint32, trace.SpanContext, 
 	}
 	s.GPSEnabled = b[12] == 1
 	s.T = time.Duration(s.Epoch) * sensing.EpochPeriod
-	var seq uint32
-	if len(b) >= 17 {
-		seq = binary.BigEndian.Uint32(b[13:])
-	}
-	if len(b) == 17+trace.ContextBytes {
-		tctx, _ = trace.DecodeContext(b[17:])
+	seq := binary.BigEndian.Uint32(b[13:])
+	if len(b) > contextBytes {
+		tctx, _ = trace.DecodeContext(b[contextBytes:])
 	}
 	return s, seq, tctx, nil
 }
@@ -361,7 +305,7 @@ func DecodeLandmark(b []byte) (*sensing.LandmarkHit, error) {
 	return l, nil
 }
 
-// Survey is a crowdsourced survey point (v3): a full RSSI scan taken at
+// Survey is a crowdsourced survey point: a full RSSI scan taken at
 // a known position (e.g. beside a landmark), contributed to the
 // server's shared radio map. Positions travel as float64 because they
 // key exact-position refreshes in the map store.

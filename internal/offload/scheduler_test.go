@@ -142,7 +142,13 @@ func TestBatchedServerMatchesUnbatched(t *testing.T) {
 		}
 	}
 
+	// The scheduler accounts a batch after answering all of its epochs,
+	// so the last batch's count can land just after its results do.
 	st := srv.Stats()
+	for deadline := time.Now().Add(2 * time.Second); st.BatchedEpochs < int64(nClients*epochs) && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+		st = srv.Stats()
+	}
 	if st.Batches == 0 {
 		t.Error("scheduler ran no batches — the batched path was never exercised")
 	}

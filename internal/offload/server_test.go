@@ -21,6 +21,7 @@ import (
 	"repro/internal/schemes"
 	"repro/internal/sensing"
 	"repro/internal/telemetry"
+	"repro/internal/telemetry/trace"
 	"repro/internal/world"
 )
 
@@ -264,7 +265,7 @@ func TestServeRequiresHello(t *testing.T) {
 	done := make(chan error, 1)
 	go func() { done <- srv.Serve(c2) }()
 	// Protocol-v1 style: epoch frames with no handshake.
-	if _, err := WriteFrame(c1, MsgContext, EncodeContext(&sensing.Snapshot{})); err != nil {
+	if _, err := WriteFrame(c1, MsgContext, EncodeContext(&sensing.Snapshot{}, 1, trace.SpanContext{})); err != nil {
 		t.Fatal(err)
 	}
 	select {

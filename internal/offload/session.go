@@ -175,7 +175,7 @@ type SessionManager struct {
 
 	mu       sync.Mutex
 	sessions map[uint32]*Session
-	detached map[string]*Session // v4 sessions parked for resume, by client ID
+	detached map[string]*Session // sessions parked for resume, by client ID
 	nextID   uint32
 
 	opened    atomic.Int64
@@ -355,19 +355,43 @@ func (m *SessionManager) StepWorkers() int { return m.stepWorkers }
 // fresh framework from the factory, and resets it at the client's
 // starting position. It returns ErrServerFull at the limit.
 func (m *SessionManager) Open(clientID string, start geo.Point, conn net.Conn) (*Session, error) {
+	s, err := m.admit(clientID, conn, false, func(s *Session) error {
+		s.fw.Reset(start)
+		return nil
+	})
+	if err != nil {
+		if errors.Is(err, ErrServerFull) {
+			m.rejected.Add(1)
+			m.met.sessionsRejected.Inc()
+		}
+		return nil, err
+	}
+	m.opened.Add(1)
+	m.met.sessionsOpened.Inc()
+	return s, nil
+}
+
+// admit is the one construction path every session takes, fresh or
+// injected. It reserves an ID under the session limit, builds the
+// framework outside the lock (training-grade factories may be slow and
+// must not serialize unrelated sessions), wires it to the server —
+// worker pool, health counters, shared-compute pins, span bridge,
+// pprof labels — and runs init on the new session (Reset at a start
+// position, or Restore from a handoff blob). It then registers the
+// session, re-checking the limit against admissions that raced the
+// build; park registers it detached for Resume, newest state winning
+// per client ID. On any failure the framework and its pins are
+// released.
+func (m *SessionManager) admit(clientID string, conn net.Conn, park bool, init func(*Session) error) (*Session, error) {
 	m.mu.Lock()
-	if m.maxSessions > 0 && len(m.sessions) >= m.maxSessions {
+	if m.full() {
 		m.mu.Unlock()
-		m.rejected.Add(1)
-		m.met.sessionsRejected.Inc()
 		return nil, ErrServerFull
 	}
 	m.nextID++
 	id := m.nextID
 	m.mu.Unlock()
 
-	// Build outside the lock: training-grade factories may be slow and
-	// must not serialize unrelated sessions.
 	fw, err := m.factory()
 	if err != nil {
 		return nil, fmt.Errorf("offload: framework factory: %w", err)
@@ -381,27 +405,23 @@ func (m *SessionManager) Open(clientID string, start geo.Point, conn net.Conn) (
 	// panicking or NaN-emitting scheme in any session shows up in
 	// scheme_panics_total / quarantined_estimates_total.
 	fw.SetHealth(m.health)
-	// Pin shared-compute entries before the first Reset so the initial
-	// tracker build already runs through the shared path.
-	var pins map[byte]*sharedcompute.Entry
-	if m.shared != nil {
-		fw.SetSharedCompute(m.shared)
-		pins = make(map[byte]*sharedcompute.Entry, len(m.sharedStores))
-		for mapID, st := range m.sharedStores {
-			if e := m.shared.Retain(st.Snapshot(), st.Name()); e != nil {
-				pins[mapID] = e
-			}
-		}
-	}
-	fw.Reset(start)
-
 	s := &Session{
 		ID: id, ClientID: clientID, fw: fw, conn: conn,
 		lastActive: m.now(),
 		lat:        telemetry.NewHistogram(telemetry.DefBuckets()),
-		pins:       pins,
 	}
 	s.replay.maxEntries, s.replay.maxBytes = m.replayEntries, m.replayBytes
+	// Pin shared-compute entries before init so the initial tracker
+	// build already runs through the shared path.
+	if m.shared != nil {
+		fw.SetSharedCompute(m.shared)
+		s.pins = make(map[byte]*sharedcompute.Entry, len(m.sharedStores))
+		for mapID, st := range m.sharedStores {
+			if e := m.shared.Retain(st.Snapshot(), st.Name()); e != nil {
+				s.pins[mapID] = e
+			}
+		}
+	}
 	s.spanLabel = clientID
 	if s.spanLabel == "" {
 		s.spanLabel = fmt.Sprintf("session-%d", id)
@@ -421,25 +441,45 @@ func (m *SessionManager) Open(clientID string, start geo.Point, conn net.Conn) (
 	if m.pprofLabels {
 		fw.SetPprofLabels(true)
 	}
+	if err := init(s); err != nil {
+		m.discard(s)
+		return nil, err
+	}
+
 	m.mu.Lock()
-	if m.maxSessions > 0 && len(m.sessions) >= m.maxSessions {
-		// Lost the race against concurrent opens while building.
+	if m.full() {
 		m.mu.Unlock()
-		m.rejected.Add(1)
-		m.met.sessionsRejected.Inc()
-		m.releasePins(s)
+		m.discard(s)
 		return nil, ErrServerFull
 	}
 	m.sessions[id] = s
+	var old *Session
+	if park {
+		old = m.detached[clientID]
+		m.detached[clientID] = s
+	}
 	active := len(m.sessions)
 	m.mu.Unlock()
-	m.opened.Add(1)
-	m.met.sessionsOpened.Inc()
+	if old != nil {
+		m.Close(old)
+	}
 	m.met.sessionsActive.Set(float64(active))
 	return s, nil
 }
 
-// Detach parks a live v4 session for seq-numbered resume after a
+// full reports whether the live set is at the session limit. Callers
+// hold m.mu.
+func (m *SessionManager) full() bool {
+	return m.maxSessions > 0 && len(m.sessions) >= m.maxSessions
+}
+
+// discard releases a session admit built but never registered.
+func (m *SessionManager) discard(s *Session) {
+	s.fw.Close()
+	m.releasePins(s)
+}
+
+// Detach parks a live session for seq-numbered resume after a
 // transport error: the framework (with its PDR/HMM state) and the
 // per-seq result cache survive, the dead connection is dropped. A
 // re-handshake with the same client ID re-attaches via Resume; until
@@ -544,7 +584,7 @@ func (m *SessionManager) ExportState(s *Session, mapVers map[byte]uint64) ([]byt
 
 // Inject materializes a session from a peer's handoff blob and parks
 // it detached, exactly as if the walk had been served here and its
-// connection had dropped: a v4 re-handshake under the blob's client ID
+// connection had dropped: a re-handshake under the blob's client ID
 // then resumes it via Resume, replay cache intact, framework state
 // bit-identical to the origin's last export. Respects the session
 // limit. The caller typically follows up with Resume immediately.
@@ -565,83 +605,22 @@ func (m *SessionManager) inject(blob []byte) error {
 	if st.ClientID == "" {
 		return fmt.Errorf("offload: session state carries no client ID")
 	}
-	m.mu.Lock()
-	if m.maxSessions > 0 && len(m.sessions) >= m.maxSessions {
-		m.mu.Unlock()
-		return ErrServerFull
-	}
-	m.nextID++
-	id := m.nextID
-	m.mu.Unlock()
-
-	// Build and restore outside the lock, mirroring Open.
-	fw, err := m.factory()
+	_, err = m.admit(st.ClientID, nil, true, func(s *Session) error {
+		if err := s.fw.Restore(st.FW); err != nil {
+			return fmt.Errorf("offload: restore handoff state: %w", err)
+		}
+		s.proto = st.Proto
+		s.lastSeq = st.Seq
+		for _, e := range st.Replay {
+			s.replay.put(e.Seq, e.Payload)
+		}
+		return nil
+	})
 	if err != nil {
-		return fmt.Errorf("offload: framework factory: %w", err)
-	}
-	if m.stepWorkers > 1 {
-		fw.SetParallel(m.stepWorkers)
-	}
-	fw.SetHealth(m.health)
-	var pins map[byte]*sharedcompute.Entry
-	if m.shared != nil {
-		fw.SetSharedCompute(m.shared)
-		pins = make(map[byte]*sharedcompute.Entry, len(m.sharedStores))
-		for mapID, stg := range m.sharedStores {
-			if e := m.shared.Retain(stg.Snapshot(), stg.Name()); e != nil {
-				pins[mapID] = e
-			}
-		}
-	}
-	s := &Session{
-		ID: id, ClientID: st.ClientID, fw: fw,
-		lastActive: m.now(),
-		lat:        telemetry.NewHistogram(telemetry.DefBuckets()),
-		pins:       pins,
-	}
-	s.spanLabel = st.ClientID
-	if err := fw.Restore(st.FW); err != nil {
-		fw.Close()
-		m.releasePins(s)
-		return fmt.Errorf("offload: restore handoff state: %w", err)
-	}
-	s.proto = st.Proto
-	s.lastSeq = st.Seq
-	s.replay.maxEntries, s.replay.maxBytes = m.replayEntries, m.replayBytes
-	for _, e := range st.Replay {
-		s.replay.put(e.Seq, e.Payload)
-	}
-	if m.tracer.Enabled() {
-		s.spans = trace.NewEpochSpans(m.tracer, s.spanLabel)
-		if prev := fw.Observer(); prev != nil {
-			fw.SetObserver(telemetry.MultiObserver(prev, s.spans))
-		} else {
-			fw.SetObserver(s.spans)
-		}
-	}
-	if m.pprofLabels {
-		fw.SetPprofLabels(true)
-	}
-
-	m.mu.Lock()
-	if m.maxSessions > 0 && len(m.sessions) >= m.maxSessions {
-		m.mu.Unlock()
-		fw.Close()
-		m.releasePins(s)
-		return ErrServerFull
-	}
-	m.sessions[id] = s
-	// Park detached: at most one per client ID, newest state wins.
-	old := m.detached[st.ClientID]
-	m.detached[st.ClientID] = s
-	active := len(m.sessions)
-	m.mu.Unlock()
-	if old != nil && old != s {
-		m.Close(old)
+		return err
 	}
 	m.injected.Add(1)
 	m.met.sessionsInjected.Inc()
-	m.met.sessionsActive.Set(float64(active))
 	return nil
 }
 

@@ -155,7 +155,9 @@ func DecodeSessionState(b []byte) (*SessionState, error) {
 		Proto:    r.U8(),
 		Seq:      r.U32(),
 	}
-	nReplay := int(r.U32())
+	// An entry is at least its seq and its payload's length prefix; a
+	// map version is its ID byte and the version.
+	nReplay := r.Count(4 + 4)
 	if r.Err() != nil {
 		return nil, fmt.Errorf("offload: truncated session state: %w", r.Err())
 	}
@@ -163,7 +165,7 @@ func DecodeSessionState(b []byte) (*SessionState, error) {
 	for i := 0; i < nReplay; i++ {
 		st.Replay = append(st.Replay, ReplayEntry{Seq: r.U32(), Payload: r.Bytes()})
 	}
-	nVers := int(r.U32())
+	nVers := r.Count(1 + 8)
 	if r.Err() != nil {
 		return nil, fmt.Errorf("offload: truncated session state: %w", r.Err())
 	}

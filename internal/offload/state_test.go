@@ -2,8 +2,13 @@ package offload
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
+	"sync/atomic"
 	"testing"
+
+	"repro/internal/statecodec"
+	"repro/internal/telemetry"
 )
 
 // TestReplayCacheBounds pins the v4 replay cache's eviction contract:
@@ -97,5 +102,60 @@ func TestSessionStateRoundTrip(t *testing.T) {
 	bad[0] = 99
 	if _, err := DecodeSessionState(bad); err == nil {
 		t.Fatal("unknown version must be rejected")
+	}
+}
+
+// TestDecodeSessionStateRejectsHugeCounts pins the decoder against
+// hostile element counts in peer bytes: a count the rest of the blob
+// cannot hold is refused before anything is allocated for it.
+func TestDecodeSessionStateRejectsHugeCounts(t *testing.T) {
+	// Version 1, client ID "x", proto 5, seq 0, nReplay = 0xFFFFFFF0.
+	replay := []byte{1, 1, 0, 0, 0, 'x', 5, 0, 0, 0, 0, 0xF0, 0xFF, 0xFF, 0xFF}
+	if len(replay) != 15 {
+		t.Fatalf("blob is %d bytes, want 15", len(replay))
+	}
+	// The same header with no replay entries and a huge map-version count.
+	vers := statecodec.AppendU32(append(replay[:11:11], 0, 0, 0, 0), 0xFFFFFFF0)
+	for name, blob := range map[string][]byte{"replay": replay, "map versions": vers} {
+		if _, err := DecodeSessionState(blob); !errors.Is(err, statecodec.ErrShort) {
+			t.Errorf("huge %s count: err = %v, want ErrShort", name, err)
+		}
+	}
+}
+
+// TestServerSurvivesEmptyFrameworkBlob injects a handoff blob whose
+// framework snapshot is empty — it decodes cleanly, so only Restore can
+// refuse it — through a hello. The injection must fail and be counted,
+// the hello must fall through to a fresh session, and the server must
+// keep serving.
+func TestServerSurvivesEmptyFrameworkBlob(t *testing.T) {
+	factory, w := offloadWorld(t)
+	blob := EncodeSessionState(&SessionState{ClientID: "walker", Proto: ProtocolV5, Seq: 3})
+	var fetches atomic.Int32
+	reg := telemetry.NewRegistry()
+	srv := newTestServer(t, ServerConfig{
+		Factory: factory,
+		Metrics: reg,
+		FetchSession: func(string) []byte {
+			fetches.Add(1)
+			return blob
+		},
+	})
+	client := pipeClient(t, srv)
+	client.clientID = "walker"
+	start, snaps := corridorWalk(w, 2, 11, 3)
+	results := runWalk(t, client, start, snaps)
+	if !results[len(results)-1].OK {
+		t.Fatalf("walk after a refused injection failed: %+v", results[len(results)-1])
+	}
+	if fetches.Load() != 1 || client.Resumes() != 0 {
+		t.Fatalf("fetches = %d, resumes = %d; want 1 fetch and a fresh session", fetches.Load(), client.Resumes())
+	}
+	st := srv.Stats()
+	if st.InjectFailures != 1 || st.Injected != 0 || st.Opened != 1 {
+		t.Fatalf("inject failures = %d, injected = %d, opened = %d; want 1, 0, 1", st.InjectFailures, st.Injected, st.Opened)
+	}
+	if v, _ := reg.Snapshot().Get("uniloc_inject_failures_total"); v != 1 {
+		t.Fatalf("uniloc_inject_failures_total = %v, want 1", v)
 	}
 }

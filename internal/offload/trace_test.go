@@ -1,6 +1,8 @@
 package offload
 
 import (
+	"errors"
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -8,23 +10,6 @@ import (
 	"repro/internal/sensing"
 	"repro/internal/telemetry/trace"
 )
-
-func TestFeaturesTable(t *testing.T) {
-	for _, tc := range []struct {
-		v    byte
-		want VersionFeatures
-	}{
-		{ProtocolV2, VersionFeatures{}},
-		{ProtocolV3, VersionFeatures{Surveys: true}},
-		{ProtocolV4, VersionFeatures{Surveys: true, Resume: true}},
-		{ProtocolV5, VersionFeatures{Surveys: true, Resume: true, Trace: true}},
-		{ProtocolV5 + 1, VersionFeatures{Surveys: true, Resume: true, Trace: true}},
-	} {
-		if got := Features(tc.v); got != tc.want {
-			t.Errorf("Features(%d) = %+v, want %+v", tc.v, got, tc.want)
-		}
-	}
-}
 
 func TestNegotiate(t *testing.T) {
 	for _, tc := range []struct {
@@ -34,11 +19,17 @@ func TestNegotiate(t *testing.T) {
 		{ProtocolV5, ProtocolV4, ProtocolV4},     // old client keeps old semantics
 		{ProtocolV4, ProtocolV5, ProtocolV4},     // old server wins too
 		{ProtocolV5, ProtocolV5 + 3, ProtocolV5}, // future client runs at our max
-		{ProtocolV5, 0, ProtocolV2},              // nonsense pins to the handshake floor
-		{ProtocolV2, ProtocolV5, ProtocolV2},
 	} {
-		if got := Negotiate(tc.server, tc.client); got != tc.want {
-			t.Errorf("Negotiate(%d, %d) = %d, want %d", tc.server, tc.client, got, tc.want)
+		if got, err := Negotiate(tc.server, tc.client); err != nil || got != tc.want {
+			t.Errorf("Negotiate(%d, %d) = %d, %v; want %d", tc.server, tc.client, got, err, tc.want)
+		}
+	}
+	// Retired versions are refused, never pinned up to a floor.
+	for _, client := range []byte{0, 2, 3} {
+		_, err := Negotiate(ProtocolV5, client)
+		want := fmt.Sprintf("unsupported protocol v%d (need v4+)", client)
+		if err == nil || err.Error() != want {
+			t.Errorf("Negotiate(v5, %d) error = %v, want %q", client, err, want)
 		}
 	}
 }
@@ -48,11 +39,11 @@ func TestContextTraceCodec(t *testing.T) {
 	tctx := trace.SpanContext{Trace: tr.NewTraceID(), Span: tr.NewSpanID()}
 	snap := &sensing.Snapshot{Epoch: 77, LightLux: 120, MagVarUT: 1.5, GPSEnabled: true}
 
-	b := EncodeContextTrace(snap, 9, tctx)
+	b := EncodeContext(snap, 9, tctx)
 	if len(b) != 17+trace.ContextBytes {
 		t.Fatalf("v5 context = %d bytes, want %d", len(b), 17+trace.ContextBytes)
 	}
-	s, seq, back, err := DecodeContextFull(b)
+	s, seq, back, err := DecodeContext(b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,27 +54,27 @@ func TestContextTraceCodec(t *testing.T) {
 		t.Errorf("trace context = %+v, want %+v", back, tctx)
 	}
 
-	// A zero context still travels (frame length versions the header)
-	// but decodes back to "no trace".
-	s, seq, back, err = DecodeContextFull(EncodeContextTrace(snap, 9, trace.SpanContext{}))
-	if err != nil || back.Valid() {
-		t.Errorf("zero context: %+v %v", back, err)
+	// Without a valid context the header stays at its 17-byte v4 size.
+	plain := EncodeContext(snap, 5, trace.SpanContext{})
+	if len(plain) != 17 {
+		t.Fatalf("context without span = %d bytes, want 17", len(plain))
 	}
-	if s.Epoch != 77 || seq != 9 {
-		t.Errorf("zero context snap/seq = %+v %d", s, seq)
-	}
-
-	// v4 (17-byte) and v3 (13-byte) headers keep decoding.
-	s, seq, back, err = DecodeContextFull(EncodeContextSeq(snap, 5))
+	s, seq, back, err = DecodeContext(plain)
 	if err != nil || seq != 5 || back.Valid() || s.Epoch != 77 {
 		t.Errorf("v4 header: %+v %d %+v %v", s, seq, back, err)
 	}
-	s, seq, back, err = DecodeContextFull(EncodeContextSeq(snap, 0)[:13])
-	if err != nil || seq != 0 || back.Valid() || s.Epoch != 77 {
-		t.Errorf("v3 header: %+v %d %+v %v", s, seq, back, err)
+
+	// An all-zero span context on the wire decodes as "no trace".
+	s, seq, back, err = DecodeContext(trace.AppendContext(plain, trace.SpanContext{}))
+	if err != nil || back.Valid() || s.Epoch != 77 || seq != 5 {
+		t.Errorf("zero context: %+v %d %+v %v", s, seq, back, err)
 	}
-	if _, _, _, err := DecodeContextFull(make([]byte, 20)); err == nil {
-		t.Error("odd-length context must fail")
+
+	// The retired 13-byte v3 header and odd lengths are protocol errors.
+	for _, n := range []int{13, 20} {
+		if _, _, _, err := DecodeContext(make([]byte, n)); !errors.Is(err, ErrProtocol) {
+			t.Errorf("%d-byte context: err = %v, want ErrProtocol", n, err)
+		}
 	}
 }
 

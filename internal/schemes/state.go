@@ -66,7 +66,7 @@ func readFilter(r *statecodec.Reader, f *particle.Filter) error {
 	if f == nil {
 		return fmt.Errorf("schemes: state carries particles but filter is nil (Restore before Reset?)")
 	}
-	n := int(r.U32())
+	n := r.Count(3 * 8) // x, y, weight
 	if r.Err() != nil {
 		return r.Err()
 	}
@@ -220,7 +220,7 @@ func (f *Fingerprinting) RestoreState(b []byte) error {
 	init := r.Bool()
 	prev := geo.Pt(r.F64(), r.F64())
 	cur := geo.Pt(r.F64(), r.F64())
-	n := int(r.U32())
+	n := r.Count(8)
 	if r.Err() != nil {
 		return r.Err()
 	}

@@ -106,6 +106,22 @@ func (r *Reader) U32() uint32 {
 	return binary.LittleEndian.Uint32(b)
 }
 
+// Count reads a uint32 element count, rejecting (as ErrShort) a count
+// the unread bytes cannot hold at minSize encoded bytes per element.
+// Decoders size allocations from Count, so a hostile count in peer
+// bytes can never make one larger than the input itself.
+func (r *Reader) Count(minSize int) int {
+	n := r.U32()
+	if r.err != nil {
+		return 0
+	}
+	if uint64(n)*uint64(minSize) > uint64(len(r.b)) {
+		r.err = ErrShort
+		return 0
+	}
+	return int(n)
+}
+
 // U64 reads a little-endian uint64.
 func (r *Reader) U64() uint64 {
 	b := r.take(8)
